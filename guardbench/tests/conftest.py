@@ -1,0 +1,7 @@
+"""Make the benchmark modules and the repro sources importable."""
+
+import os
+import sys
+
+BENCH_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(os.path.dirname(BENCH_DIR), "src"), BENCH_DIR]
