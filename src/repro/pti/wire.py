@@ -124,6 +124,7 @@ __all__ = [
     "unpack_batch_reply",
     "pack_gateway_request",
     "unpack_gateway_request",
+    "with_gateway_budget",
     "pack_gateway_reply",
     "unpack_gateway_reply",
     "pack_gateway_error",
@@ -607,6 +608,20 @@ def unpack_gateway_request(frame: bytes) -> GatewayRequest:
     if offset != n:
         raise WireFormatError(f"{n - offset} trailing bytes after request frame")
     return GatewayRequest(queries, client_id, path, inputs, budget)
+
+
+def with_gateway_budget(frame: bytes, budget: float | None) -> bytes:
+    """A copy of a valid request frame carrying a new deadline budget.
+
+    The budget is a fixed-offset field, so a gateway forwards a client's
+    frame with its clamped remaining budget without re-packing it.
+    """
+    start = _HEADER.size
+    return b"".join((
+        frame[:start],
+        _BUDGET.pack(math.nan if budget is None else float(budget)),
+        frame[start + _BUDGET.size :],
+    ))
 
 
 def pack_gateway_reply(payloads: Sequence[bytes]) -> bytes:
