@@ -70,7 +70,7 @@ def percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[index]
 
 
-def make_gateway(tmpdir: str, *, pace: float, seed: int) -> AsyncGateway:
+def make_gateway(tmpdir: str, *, pace: float) -> AsyncGateway:
     config = GatewayConfig(
         unix_path=os.path.join(tmpdir, "gw.sock"),
         workers=WORKERS,
@@ -80,7 +80,6 @@ def make_gateway(tmpdir: str, *, pace: float, seed: int) -> AsyncGateway:
         max_queue=max(64, CLIENT_COUNTS[-1]),
         max_deadline=60.0,
         admission_timeout=60.0,
-        seed=seed,
     )
     return AsyncGateway(SWARM_FRAGMENTS, gateway=config)
 
@@ -171,7 +170,7 @@ def run_soak(
         )
         for item in sched
     ]
-    gateway = make_gateway(tmpdir, pace=pace, seed=seed)
+    gateway = make_gateway(tmpdir, pace=pace)
     thread = GatewayThread(gateway).start()
     try:
         injector = NetFaultInjector(
@@ -218,7 +217,7 @@ def run_gateway_bench(
     tiers: dict[str, dict] = {}
     with tempfile.TemporaryDirectory(prefix="joza-gw-bench-") as tmpdir:
         for clients in CLIENT_COUNTS:
-            gateway = make_gateway(tmpdir, pace=pace, seed=seed)
+            gateway = make_gateway(tmpdir, pace=pace)
             thread = GatewayThread(gateway).start()
             try:
                 tiers[f"clients_{clients}"] = drive_tier(
@@ -342,7 +341,7 @@ def test_gateway_throughput_smoke(benchmark):
     # Timed representative operation: one gateway round-trip (wire codec +
     # unix socket + worker dispatch), no artificial pace.
     with tempfile.TemporaryDirectory(prefix="joza-gw-bench-") as tmpdir:
-        gateway = make_gateway(tmpdir, pace=0.0, seed=1337)
+        gateway = make_gateway(tmpdir, pace=0.0)
         thread = GatewayThread(gateway).start()
         client = GatewayClient(
             unix_path=gateway.gw.unix_path, client_id="bench"

@@ -72,7 +72,6 @@ def make_gateway(tmp_path, **overrides):
         unix_path=str(tmp_path / "gw.sock"),
         host=None,
         workers=1,
-        seed=CHAOS_SEED,
         max_deadline=5.0,
         state_dir=str(tmp_path / "state"),
     )
@@ -138,7 +137,6 @@ def test_gateway_persisted_state_wins_over_config_seed(tmp_path):
             unix_path=str(tmp_path / "gw2.sock"),
             host=None,
             workers=1,
-            seed=CHAOS_SEED,
             state_dir=str(tmp_path / "state"),
         ),
     )
@@ -287,8 +285,6 @@ def test_cli_selfcheck_restart_leg_with_explicit_state_dir(tmp_path):
             str(tmp_path / "gw.sock"),
             "--workers",
             "1",
-            "--seed",
-            str(CHAOS_SEED),
             "--state-dir",
             str(tmp_path / "state"),
             "--selfcheck",

@@ -157,8 +157,6 @@ def test_serve_selfcheck_over_unix_socket(tmp_path):
             str(tmp_path / "gw.sock"),
             "--workers",
             "1",
-            "--seed",
-            "1337",
             "--selfcheck",
         ]
     )
@@ -179,8 +177,6 @@ def test_serve_selfcheck_over_tcp_ephemeral_port(tmp_path):
             "0",
             "--workers",
             "1",
-            "--seed",
-            "1337",
             "--selfcheck",
         ]
     )
